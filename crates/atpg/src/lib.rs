@@ -11,9 +11,15 @@
 //! * [`Podem`] — a classic PODEM implementation over the dual-ternary
 //!   (good, faulty) value encoding, with SCOAP-guided backtrace and a
 //!   configurable backtrack limit. Returns a [`TestCube`], a proof of
-//!   untestability, or an abort;
+//!   untestability, or an abort. The circuit is compiled once per
+//!   generator into flat arrays; implication re-simulates the fault's
+//!   cone and its fanin with one dual-rail byte per node holding both
+//!   machines, the D-frontier is searched only in the fault's fanout
+//!   cone, and an X-path check abandons assignments whose fault effect
+//!   can no longer reach an output. The pruning never changes a verdict
+//!   or a cube; it only lowers backtrack counts;
 //! * [`redundancy`] — sweep a fault list into testable / redundant /
-//!   aborted classes;
+//!   aborted classes, with [`AtpgCounters`] for the sweep;
 //! * [`topoff`] — generate a compact cube set covering a fault list, with
 //!   fault-simulation-based dropping (the "how many seeds" question).
 //!

@@ -8,9 +8,10 @@
 //! using an efficient ATPG tool").
 
 use tpi_netlist::{Circuit, NetlistError};
+use tpi_obs::Registry;
 use tpi_sim::Fault;
 
-use crate::{Podem, PodemConfig, PodemResult, TestCube};
+use crate::{AtpgCounters, Podem, PodemConfig, PodemResult, TestCube};
 
 /// Result of a redundancy sweep.
 #[derive(Clone, Debug)]
@@ -22,6 +23,9 @@ pub struct RedundancySweep {
     /// Faults on which the search aborted (keep in the target list; they
     /// may still be testable).
     pub undecided: Vec<Fault>,
+    /// What the sweep did: one cube per testable fault, the redundant
+    /// and aborted counts, and the backtracks summed over every search.
+    pub counters: AtpgCounters,
 }
 
 impl RedundancySweep {
@@ -33,6 +37,23 @@ impl RedundancySweep {
             .map(|(f, _)| *f)
             .chain(self.undecided.iter().copied())
             .collect()
+    }
+
+    /// Publish the sweep under `atpg.sweep.{testable, redundant,
+    /// undecided, backtracks}` (adds, so repeated sweeps accumulate).
+    /// The top-off run's counters keep the plain `atpg.*` names.
+    pub fn publish_to(&self, registry: &Registry) {
+        let c = &self.counters;
+        registry
+            .counter("atpg.sweep.testable")
+            .add(c.cubes_generated);
+        registry
+            .counter("atpg.sweep.redundant")
+            .add(c.redundant_faults);
+        registry
+            .counter("atpg.sweep.undecided")
+            .add(c.aborted_faults);
+        registry.counter("atpg.sweep.backtracks").add(c.backtracks);
     }
 
     /// Fraction of faults proven redundant.
@@ -61,12 +82,25 @@ pub fn sweep(
         testable: Vec::new(),
         redundant: Vec::new(),
         undecided: Vec::new(),
+        counters: AtpgCounters::default(),
     };
     for &fault in faults {
-        match podem.generate(fault)? {
-            PodemResult::Test(cube) => result.testable.push((fault, cube)),
-            PodemResult::Untestable => result.redundant.push(fault),
-            PodemResult::Aborted => result.undecided.push(fault),
+        let outcome = podem.generate(fault)?;
+        let counters = &mut result.counters;
+        counters.backtracks += podem.last_backtracks();
+        match outcome {
+            PodemResult::Test(cube) => {
+                result.testable.push((fault, cube));
+                counters.cubes_generated += 1;
+            }
+            PodemResult::Untestable => {
+                result.redundant.push(fault);
+                counters.redundant_faults += 1;
+            }
+            PodemResult::Aborted => {
+                result.undecided.push(fault);
+                counters.aborted_faults += 1;
+            }
         }
     }
     Ok(result)
@@ -100,6 +134,25 @@ mod tests {
         assert_eq!(
             sweep.targets().len(),
             universe.len() - sweep.redundant.len()
+        );
+        let c = sweep.counters;
+        assert_eq!(c.cubes_generated, sweep.testable.len() as u64);
+        assert_eq!(c.redundant_faults, sweep.redundant.len() as u64);
+        assert_eq!(c.aborted_faults, 0);
+        let registry = Registry::new();
+        sweep.publish_to(&registry);
+        assert_eq!(
+            registry.counter("atpg.sweep.testable").get(),
+            sweep.testable.len() as u64
+        );
+        assert_eq!(
+            registry.counter("atpg.sweep.redundant").get(),
+            sweep.redundant.len() as u64
+        );
+        assert_eq!(registry.counter("atpg.sweep.undecided").get(), 0);
+        assert_eq!(
+            registry.counter("atpg.sweep.backtracks").get(),
+            c.backtracks
         );
     }
 

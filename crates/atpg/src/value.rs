@@ -1,5 +1,3 @@
-use tpi_netlist::GateKind;
-
 /// Three-valued logic: 0, 1 or unknown.
 ///
 /// PODEM's circuit state is a *pair* of ternary values per line — the
@@ -51,141 +49,9 @@ impl Ternary {
     }
 }
 
-/// Evaluate a gate in three-valued logic.
-///
-/// Controlling values dominate unknowns (an AND with a 0 input is 0 even
-/// if other inputs are X); otherwise any X makes the output X.
-pub fn eval_ternary<I: IntoIterator<Item = Ternary>>(kind: GateKind, fanins: I) -> Ternary {
-    let mut it = fanins.into_iter();
-    match kind {
-        GateKind::Const0 => Ternary::Zero,
-        GateKind::Const1 => Ternary::One,
-        GateKind::Input => Ternary::X,
-        GateKind::Buf => it.next().unwrap_or(Ternary::X),
-        GateKind::Not => it.next().unwrap_or(Ternary::X).not(),
-        GateKind::And | GateKind::Nand => {
-            let mut saw_x = false;
-            let mut out = Ternary::One;
-            for v in it {
-                match v {
-                    Ternary::Zero => {
-                        out = Ternary::Zero;
-                        saw_x = false;
-                        break;
-                    }
-                    Ternary::X => saw_x = true,
-                    Ternary::One => {}
-                }
-            }
-            let out = if saw_x { Ternary::X } else { out };
-            if kind == GateKind::Nand {
-                out.not()
-            } else {
-                out
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let mut saw_x = false;
-            let mut out = Ternary::Zero;
-            for v in it {
-                match v {
-                    Ternary::One => {
-                        out = Ternary::One;
-                        saw_x = false;
-                        break;
-                    }
-                    Ternary::X => saw_x = true,
-                    Ternary::Zero => {}
-                }
-            }
-            let out = if saw_x { Ternary::X } else { out };
-            if kind == GateKind::Nor {
-                out.not()
-            } else {
-                out
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let mut acc = Ternary::Zero;
-            for v in it {
-                acc = match (acc, v) {
-                    (Ternary::X, _) | (_, Ternary::X) => Ternary::X,
-                    (a, b) => Ternary::from_bool(a.to_bool().unwrap() ^ b.to_bool().unwrap()),
-                };
-                if acc == Ternary::X {
-                    return Ternary::X; // X is absorbing for parity
-                }
-            }
-            if kind == GateKind::Xnor {
-                acc.not()
-            } else {
-                acc
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn controlling_values_dominate_x() {
-        assert_eq!(
-            eval_ternary(GateKind::And, [Ternary::Zero, Ternary::X]),
-            Ternary::Zero
-        );
-        assert_eq!(
-            eval_ternary(GateKind::Nand, [Ternary::Zero, Ternary::X]),
-            Ternary::One
-        );
-        assert_eq!(
-            eval_ternary(GateKind::Or, [Ternary::X, Ternary::One]),
-            Ternary::One
-        );
-        assert_eq!(
-            eval_ternary(GateKind::Nor, [Ternary::X, Ternary::One]),
-            Ternary::Zero
-        );
-    }
-
-    #[test]
-    fn x_propagates_without_controlling_input() {
-        assert_eq!(
-            eval_ternary(GateKind::And, [Ternary::One, Ternary::X]),
-            Ternary::X
-        );
-        assert_eq!(
-            eval_ternary(GateKind::Or, [Ternary::Zero, Ternary::X]),
-            Ternary::X
-        );
-        assert_eq!(
-            eval_ternary(GateKind::Xor, [Ternary::One, Ternary::X]),
-            Ternary::X
-        );
-    }
-
-    #[test]
-    fn binary_cases_match_boolean_eval() {
-        use tpi_netlist::GateKind as K;
-        for kind in [K::And, K::Nand, K::Or, K::Nor, K::Xor, K::Xnor] {
-            for p in 0..4u8 {
-                let a = p & 1 != 0;
-                let b = p & 2 != 0;
-                let expected = kind.eval([a, b]);
-                let got = eval_ternary(kind, [Ternary::from_bool(a), Ternary::from_bool(b)]);
-                assert_eq!(got.to_bool(), Some(expected), "{kind} {a} {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn unary_and_constants() {
-        assert_eq!(eval_ternary(GateKind::Not, [Ternary::X]), Ternary::X);
-        assert_eq!(eval_ternary(GateKind::Buf, [Ternary::One]), Ternary::One);
-        assert_eq!(eval_ternary(GateKind::Const1, []), Ternary::One);
-        assert_eq!(eval_ternary(GateKind::Const0, []), Ternary::Zero);
-    }
 
     #[test]
     fn ternary_helpers() {

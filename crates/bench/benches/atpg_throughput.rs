@@ -1,6 +1,8 @@
-//! ATPG / compaction throughput harness: deterministic cube generation,
-//! pairwise conflict analysis and the end-to-end `--objective patterns`
-//! search on the generated random-pattern-resistant suite.
+//! ATPG / compaction throughput harness: the PODEM redundancy sweep on
+//! the recorded `results/dag*_s5.bench` circuits, deterministic cube
+//! generation, pairwise conflict analysis and the end-to-end
+//! `--objective patterns` search on the generated random-pattern-
+//! resistant suite.
 //!
 //! Like `fsim_throughput`, this harness emits a machine-readable
 //! **`BENCH_atpg.json`** at the repository root so before/after
@@ -15,17 +17,24 @@
 //! than the no-TPI baseline — so a wrong but fast path fails the bench
 //! instead of winning it.
 //!
+//! The redundancy-sweep rows time one `redundancy::sweep` over the
+//! collapsed fault list of each recorded DAG (a single run: the dag1600
+//! sweep is long enough that one sample is stable) and record faults/s
+//! with the redundant / undecided / backtrack counts.
+//!
 //! `cargo bench -p tpi-bench --bench atpg_throughput -- --test` runs a
-//! one-iteration smoke (assertions only, no JSON) — this is what CI
-//! executes.
+//! one-iteration smoke (assertions only, no JSON; the sweep section on
+//! dag400 only) — this is what CI executes.
 
 use std::path::Path;
 use std::time::Instant;
 
+use tpi_atpg::{redundancy, PodemConfig};
 use tpi_compaction::{ConflictAnalysis, CubeConfig, CubeSet, PatternsConfig, PatternsOptimizer};
 use tpi_engine::json::Json;
 use tpi_gen::dags::{random_dag, RandomDagConfig};
 use tpi_gen::rpr;
+use tpi_netlist::bench_format::parse_bench;
 use tpi_netlist::Circuit;
 use tpi_sim::{FaultUniverse, RunControl};
 
@@ -39,6 +48,10 @@ fn main() {
     }
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
 
+    let redundancy_sweep: Vec<Json> = ["dag400_s5", "dag1600_s5"]
+        .into_iter()
+        .map(|name| bench_redundancy_sweep(&root, name))
+        .collect();
     let mut cube_generation = Vec::new();
     let mut conflict_analysis = Vec::new();
     let mut patterns_e2e = Vec::new();
@@ -54,6 +67,7 @@ fn main() {
         ("threads", Json::from(1u64)),
         ("samples", Json::from(u64::from(SAMPLES))),
         ("estimator", Json::from("min")),
+        ("redundancy_sweep", Json::Arr(redundancy_sweep)),
         (
             "compaction",
             Json::obj([
@@ -82,6 +96,56 @@ fn suite() -> Vec<(&'static str, Circuit)> {
             random_dag(&RandomDagConfig::new(10, 100, 9)).expect("valid dag config"),
         ),
     ]
+}
+
+/// Parse one of the recorded `results/<name>.bench` circuits.
+fn recorded(root: &Path, name: &str) -> Circuit {
+    let path = root.join("results").join(format!("{name}.bench"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    parse_bench(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// One timed `redundancy::sweep` over the collapsed fault list of a
+/// recorded DAG (what `tpi atpg` runs first), checked for a consistent
+/// partition.
+fn bench_redundancy_sweep(root: &Path, name: &str) -> Json {
+    let circuit = recorded(root, name);
+    let universe = FaultUniverse::collapsed(&circuit).expect("collapsible");
+    let start = Instant::now();
+    let sweep = redundancy::sweep(&circuit, universe.faults(), PodemConfig::default())
+        .expect("recorded circuits are acyclic");
+    let seconds = start.elapsed().as_secs_f64();
+    let (testable, redundant, undecided) = (
+        sweep.testable.len(),
+        sweep.redundant.len(),
+        sweep.undecided.len(),
+    );
+    assert_eq!(
+        testable + redundant + undecided,
+        universe.len(),
+        "{name}: the sweep must classify every fault once"
+    );
+    assert_eq!(sweep.counters.cubes_generated, testable as u64);
+    assert_eq!(sweep.counters.redundant_faults, redundant as u64);
+    assert_eq!(sweep.counters.aborted_faults, undecided as u64);
+    let faults_per_sec = universe.len() as f64 / seconds;
+    println!(
+        "redundancy_sweep {name}: {} faults -> {testable} testable, {redundant} redundant, \
+         {undecided} undecided, {} backtracks, {seconds:.3} s -> {faults_per_sec:.0} faults/s",
+        universe.len(),
+        sweep.counters.backtracks,
+    );
+    Json::obj([
+        ("circuit", Json::from(name)),
+        ("gates", Json::from(circuit.gate_count() as u64)),
+        ("faults", Json::from(universe.len() as u64)),
+        ("testable", Json::from(testable as u64)),
+        ("redundant", Json::from(redundant as u64)),
+        ("undecided", Json::from(undecided as u64)),
+        ("backtracks", Json::from(sweep.counters.backtracks)),
+        ("seconds", Json::from(seconds)),
+        ("faults_per_sec", Json::from(faults_per_sec)),
+    ])
 }
 
 /// Min-of-N wall time of `iter` in nanoseconds, after warm-up.
@@ -191,8 +255,14 @@ fn bench_patterns_e2e(name: &str, circuit: &Circuit) -> Json {
     );
     Json::obj([
         ("circuit", Json::from(name)),
-        ("patterns_before", Json::from(reference.patterns_before as u64)),
-        ("patterns_after", Json::from(reference.patterns_after as u64)),
+        (
+            "patterns_before",
+            Json::from(reference.patterns_before as u64),
+        ),
+        (
+            "patterns_after",
+            Json::from(reference.patterns_after as u64),
+        ),
         (
             "points",
             Json::from(reference.plan.test_points().len() as u64),
@@ -203,6 +273,8 @@ fn bench_patterns_e2e(name: &str, circuit: &Circuit) -> Json {
 
 /// One-iteration CI smoke: guarantees only, no timing, no JSON.
 fn smoke() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    bench_redundancy_sweep(&root, "dag400_s5");
     for (name, circuit) in suite() {
         let universe = FaultUniverse::collapsed(&circuit).expect("collapsible");
         let a = generate(&circuit, universe.faults());

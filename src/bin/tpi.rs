@@ -423,7 +423,7 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
     if score_threads == 0 {
         return Err("--score-threads must be ≥ 1".into());
     }
-    let options = sim_options_flags(&flags)?;
+    let options = sim_options_flags(flags)?;
     // `--deadline-ms`: run the optimizer under a RunControl deadline; an
     // interrupted run still commits its best-so-far prefix plan
     // (reported with `"partial": true`).
@@ -743,6 +743,7 @@ fn atpg(args: &[String]) -> Result<(), String> {
     }
     if let Some(path) = flags.get("metrics-out") {
         let registry = Registry::new();
+        sweep.publish_to(&registry);
         top.counters.publish_to(&registry);
         write_metrics(path, &registry)?;
     }

@@ -180,3 +180,47 @@ fn metrics_out_writes_a_valid_deterministic_snapshot() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `tpi atpg --metrics-out` meters the redundancy sweep: the
+/// `atpg.sweep.*` counters equal the printed partition of the fault
+/// list, next to the top-off's `atpg.*` counters.
+#[test]
+fn atpg_metrics_out_meters_the_sweep() {
+    // Not under `temp_dir()`: the other test removes that when done.
+    let dir = std::env::temp_dir().join(format!("tpi-metrics-atpg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let circuit = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/dag400_s5.bench");
+    let out = dir.join("metrics.json");
+    let output = tpi(&[
+        "atpg",
+        circuit.to_str().unwrap(),
+        "--metrics-out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(
+        output.status.success(),
+        "atpg failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    // "<name>: N faults — T testable, R redundant, U undecided"
+    let summary = stdout.lines().next().expect("summary line");
+    let counts: Vec<u64> = summary
+        .split(['—', ','])
+        .skip(1)
+        .map(|part| {
+            part.split_whitespace()
+                .next()
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("unexpected summary line {summary:?}"))
+        })
+        .collect();
+    assert_eq!(counts.len(), 3, "{summary}");
+    let counters = validate_schema(&std::fs::read_to_string(&out).unwrap());
+    assert_eq!(counter(&counters, "atpg.sweep.testable"), counts[0]);
+    assert_eq!(counter(&counters, "atpg.sweep.redundant"), counts[1]);
+    assert_eq!(counter(&counters, "atpg.sweep.undecided"), counts[2]);
+    assert!(counter(&counters, "atpg.sweep.backtracks") > 0);
+    counter(&counters, "atpg.cubes_generated");
+    std::fs::remove_dir_all(&dir).ok();
+}
