@@ -137,11 +137,8 @@ pub fn generate_controlled(
         }
     }
 
-    let pairs: Vec<(Fault, TestCube)> = targets
-        .iter()
-        .copied()
-        .zip(cubes.iter().cloned())
-        .collect();
+    let pairs: Vec<(Fault, TestCube)> =
+        targets.iter().copied().zip(cubes.iter().cloned()).collect();
     let merged = pack_cubes(&pairs);
     Ok(TopoffResult {
         cubes,

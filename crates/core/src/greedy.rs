@@ -18,7 +18,7 @@ pub struct GreedyConfig {
     /// Candidate scoring path: incremental cone-delta COP probes
     /// (default) or the legacy full `apply_plan` + whole-circuit
     /// re-analysis per candidate. Both select bit-identical plans; legacy
-    /// is kept as the A/B oracle behind `--candidate-eval legacy`.
+    /// is kept as the oracle `prop_candidate_eval.rs` compares against.
     pub candidate_eval: CandidateEval,
 }
 

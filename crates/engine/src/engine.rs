@@ -16,9 +16,8 @@ use tpi_netlist::transform::{apply_test_point, AppliedTestPoint};
 use tpi_netlist::{Circuit, NodeId, TestPoint, Topology};
 use tpi_obs::{Counter, Histogram, Registry};
 use tpi_sim::{
-    score_candidate_groups, BackendChoice, BaseDetections, DetectionMode, FaultSimResult,
-    FaultSimulator, FaultSite, FaultUniverse, IndependentPatterns, RunControl, SimOptions,
-    StopReason,
+    score_candidate_groups, BaseDetections, DetectionMode, FaultSimResult, FaultSimulator,
+    FaultSite, FaultUniverse, IndependentPatterns, RunControl, SimOptions, StopReason,
 };
 use tpi_testability::CopAnalysis;
 
@@ -45,11 +44,6 @@ pub struct EngineConfig {
     /// modes are bit-identical; critical path tracing (the default) is
     /// faster on circuits with substantial fanout-free regions.
     pub detection: DetectionMode,
-    /// Requested SIMD backend for the simulation kernels (resolved
-    /// against the running CPU when a simulator is built; every backend
-    /// is bit-identical). The resolved backend is published as the
-    /// `sim.backend` gauge.
-    pub simd_backend: BackendChoice,
     /// Candidate-group scoring path: the batched scorer (default) shares
     /// the base detection state and simulates only each group's dirty
     /// faults; `legacy` re-simulates every undetected fault per group.
@@ -69,7 +63,6 @@ impl Default for EngineConfig {
             verify_incremental: cfg!(debug_assertions),
             block_words: 0,
             detection: DetectionMode::default(),
-            simd_backend: BackendChoice::default(),
             candidate_eval: CandidateEval::default(),
             score_threads: 1,
         }
@@ -432,7 +425,6 @@ impl TpiEngine {
         SimOptions {
             block_words: self.config.block_words,
             detection: self.config.detection,
-            backend: self.config.simd_backend,
         }
     }
 
@@ -449,7 +441,6 @@ impl TpiEngine {
         )?;
         drop(timer);
         run.counters.publish_to(&self.metrics.registry);
-        sim.backend().publish_to(&self.metrics.registry);
         Ok((run.result, run.stopped))
     }
 
@@ -570,7 +561,6 @@ impl TpiEngine {
                 sim.run_controlled(&mut src, self.config.patterns, &dirty_faults, &self.control)?;
             drop(timer);
             run.counters.publish_to(&self.metrics.registry);
-            sim.backend().publish_to(&self.metrics.registry);
             if let Some(reason) = run.stopped {
                 return Err(TpiError::Interrupted { reason });
             }
@@ -1055,7 +1045,6 @@ impl TpiEngine {
             let mut src = IndependentPatterns::new(scratch.inputs().len(), self.config.seed);
             let run = sim.run_controlled(&mut src, budget, &faults, &self.control)?;
             run.counters.publish_to(&self.metrics.registry);
-            sim.backend().publish_to(&self.metrics.registry);
             self.metrics
                 .candidate_eval_us
                 .record_duration(started.elapsed());

@@ -473,7 +473,10 @@ impl ServeState {
     /// cache, so follow-up requests on the same session replay it.
     fn cmd_optimize_patterns(&mut self, request: &Json) -> Result<Json, ServeError> {
         let mut cfg = PatternsConfig {
-            max_points: request.get("max_points").and_then(Json::as_u64).unwrap_or(8) as usize,
+            max_points: request
+                .get("max_points")
+                .and_then(Json::as_u64)
+                .unwrap_or(8) as usize,
             max_cost: request
                 .get("max_cost")
                 .and_then(Json::as_f64)

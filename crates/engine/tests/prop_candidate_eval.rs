@@ -4,8 +4,9 @@
 //! modes — for the engine session loop, the from-scratch constructive
 //! baseline, and the greedy analytic search.
 //!
-//! This is the contract that lets `--candidate-eval batched` be the
-//! default: legacy survives only as the A/B oracle this test consults.
+//! This is the contract that lets batched scoring be the only path the
+//! `tpi` CLI exposes: legacy survives only as the oracle this test
+//! consults.
 
 use proptest::prelude::*;
 use tpi_core::general::{ConstructiveConfig, ConstructiveOptimizer};

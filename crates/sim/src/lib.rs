@@ -48,10 +48,7 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid` so exactly one module — [`simd`], the
-// audited runtime-dispatch boundary — can opt back in with a scoped
-// `allow`; everything else in the crate still refuses unsafe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod candidate;
@@ -68,7 +65,6 @@ mod misr;
 pub mod montecarlo;
 pub mod parallel;
 mod patterns;
-mod simd;
 mod weighted;
 
 pub use candidate::{score_candidate_groups, BaseDetections, BatchScores, GroupScore};
@@ -82,5 +78,4 @@ pub use logic::LogicSim;
 pub use metrics::SimCounters;
 pub use misr::Misr;
 pub use patterns::{ExhaustivePatterns, IndependentPatterns, PatternSource, RandomPatterns};
-pub use simd::{BackendChoice, SimdBackend};
 pub use weighted::WeightedPatterns;

@@ -26,7 +26,7 @@
 //! same contribution multiset (max over non-negative floats is
 //! order-insensitive), so every probed probability is **bit-identical** to
 //! `CopAnalysis::with_input_probs(apply_test_point(circuit, tp), …)` —
-//! the property the `--candidate-eval` A/B oracle tests.
+//! the property `prop_candidate_eval.rs` checks against the legacy path.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -24,7 +24,7 @@ EOF
 printf 'INPUT(a)\ny = AND)a(\n' > "$dir/bad.bench"
 
 # ---- simulate --metrics-out: kernel counters present and sane. ----
-"$TPI" simulate "$dir/ok.bench" --patterns 256 --metrics-out "$dir/sim.json"
+"$TPI" simulate "$dir/ok.bench" --patterns 256 --threads 1 --metrics-out "$dir/sim.json"
 python3 - "$dir/sim.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -40,12 +40,7 @@ assert doc["sim.faults_dropped"]["value"] >= 1
 # Sequential runs never steal.
 assert doc["sim.steals"]["value"] == 0, doc["sim.steals"]
 assert doc["sim.steal_misses"]["value"] == 0, doc["sim.steal_misses"]
-# The resolved SIMD backend is a gauge with a stable code:
-# 0 scalar, 1 avx2, 2 avx512.
-backend = doc["sim.backend"]
-assert backend["type"] == "gauge", backend
-assert backend["value"] in (0, 1, 2), backend
-print("simulate metrics: ok (kernel counters, scheduler counters, backend gauge)")
+print("simulate metrics: ok (kernel counters, scheduler counters)")
 EOF
 
 # ---- batch --metrics-out on a mixed manifest. ----

@@ -3,14 +3,11 @@
 //! ```text
 //! tpi analyze  <file.bench>                      structural + testability report
 //! tpi simulate <file.bench> [--patterns N] [--seed S] [--lfsr] [--threads N]
-//!              [--block-words auto|W] [--detection cpt|explicit]
-//!              [--simd-backend auto|scalar|avx2|avx512] [--metrics-out FILE]
+//!              [--block-words auto|W] [--metrics-out FILE]
 //! tpi insert   <file.bench> [--objective coverage|patterns]
 //!              [--log2-threshold E | --test-length L --confidence C]
-//!              [--method dp|greedy|constructive|constructive-baseline]
-//!              [--candidate-eval batched|legacy] [--score-threads N]
-//!              [--threads N] [--block-words auto|W] [--detection cpt|explicit]
-//!              [--simd-backend auto|scalar|avx2|avx512] [--deadline-ms MS]
+//!              [--method dp|greedy|constructive] [--score-threads N]
+//!              [--threads N] [--block-words auto|W] [--deadline-ms MS]
 //!              [--max-points N] [--probe-width N] [--max-backtracks N]
 //!              [--out FILE] [--verilog FILE] [--metrics-out FILE]
 //! tpi atpg     <file.bench> [--patterns N] [--metrics-out FILE]
@@ -27,18 +24,14 @@
 //!
 //! Netlists are ISCAS-85 `.bench` files; `DFF`s are treated as full-scan
 //! pseudo-ports. `insert --method constructive` runs on the incremental
-//! [`TpiEngine`] session; `constructive-baseline` is the from-scratch
-//! loop it is benchmarked against.
+//! [`TpiEngine`] session. Every command rejects flags it does not take.
 
 use std::process::ExitCode;
 
 use krishnamurthy_tpi::atpg::{redundancy, topoff, PodemConfig};
 use krishnamurthy_tpi::compaction::{PatternsConfig, PatternsOptimizer, SearchTier};
-use krishnamurthy_tpi::core::general::{ConstructiveConfig, ConstructiveOptimizer};
 use krishnamurthy_tpi::core::report::InsertionReport;
-use krishnamurthy_tpi::core::{
-    CandidateEval, DpOptimizer, GreedyConfig, GreedyOptimizer, Threshold, TpiProblem,
-};
+use krishnamurthy_tpi::core::{DpOptimizer, GreedyOptimizer, Threshold, TpiProblem};
 use krishnamurthy_tpi::engine::{
     batch, json::Json, schema, serve, EngineConfig, OptimizeConfig, RunControl, SharedMemoConfig,
     TpiEngine,
@@ -49,8 +42,7 @@ use krishnamurthy_tpi::obs::{Registry, Snapshot};
 use krishnamurthy_tpi::server::{self, ListenAddr, Server, ServerConfig};
 use krishnamurthy_tpi::sim::parallel::run_parallel_controlled;
 use krishnamurthy_tpi::sim::{
-    block_words_supported, BackendChoice, DetectionMode, FaultUniverse, LfsrPatterns,
-    RandomPatterns, SimOptions, SimdBackend,
+    block_words_supported, FaultUniverse, LfsrPatterns, RandomPatterns, SimOptions,
 };
 use krishnamurthy_tpi::testability::profile::TestabilityReport;
 
@@ -103,14 +95,11 @@ fn print_usage() {
          usage:\n  \
          tpi analyze  <file.bench>\n  \
          tpi simulate <file.bench> [--patterns N] [--seed S] [--lfsr] [--threads N]\n           \
-         [--block-words auto|W] [--detection cpt|explicit]\n           \
-         [--simd-backend auto|scalar|avx2|avx512] [--metrics-out FILE]\n  \
+         [--block-words auto|W] [--metrics-out FILE]\n  \
          tpi insert   <file.bench> [--objective coverage|patterns]\n           \
          [--log2-threshold E | --test-length L --confidence C]\n           \
-         [--method dp|greedy|constructive|constructive-baseline] [--threads N]\n           \
-         [--candidate-eval batched|legacy] [--score-threads N]\n           \
-         [--block-words auto|W] [--detection cpt|explicit]\n           \
-         [--simd-backend auto|scalar|avx2|avx512] [--deadline-ms MS]\n           \
+         [--method dp|greedy|constructive] [--threads N] [--score-threads N]\n           \
+         [--block-words auto|W] [--deadline-ms MS]\n           \
          [--max-points N] [--probe-width N] [--max-backtracks N]\n           \
          [--out FILE] [--verilog FILE] [--metrics-out FILE]\n  \
          tpi atpg     <file.bench> [--patterns N] [--metrics-out FILE]\n  \
@@ -127,8 +116,10 @@ fn print_usage() {
 }
 
 /// Tiny flag parser: positional file(s) + `--key value` / boolean
-/// `--key`. Most commands take exactly one positional ([`parse`]);
-/// `merge` takes many ([`parse_multi`]).
+/// `--key`, where `values` and `booleans` list the flags the command
+/// takes; any other flag is an error, so a misspelt or retired flag
+/// never silently falls back to a default. Most commands take exactly
+/// one positional ([`parse`]); `merge` takes many ([`parse_multi`]).
 ///
 /// [`parse`]: Flags::parse
 /// [`parse_multi`]: Flags::parse_multi
@@ -138,15 +129,25 @@ struct Flags<'a> {
 }
 
 impl<'a> Flags<'a> {
-    fn parse(args: &'a [String], booleans: &[&str]) -> Result<Flags<'a>, String> {
-        let flags = Self::parse_multi(args, booleans)?;
+    fn parse(
+        args: &'a [String],
+        command: &str,
+        values: &[&str],
+        booleans: &[&str],
+    ) -> Result<Flags<'a>, String> {
+        let flags = Self::parse_multi(args, command, values, booleans)?;
         if let Some(extra) = flags.files.get(1) {
             return Err(format!("unexpected argument `{extra}`"));
         }
         Ok(flags)
     }
 
-    fn parse_multi(args: &'a [String], booleans: &[&str]) -> Result<Flags<'a>, String> {
+    fn parse_multi(
+        args: &'a [String],
+        command: &str,
+        values: &[&str],
+        booleans: &[&str],
+    ) -> Result<Flags<'a>, String> {
         let mut files = Vec::new();
         let mut pairs = Vec::new();
         let mut i = 0;
@@ -156,6 +157,8 @@ impl<'a> Flags<'a> {
                 if booleans.contains(&key) {
                     pairs.push((key, None));
                     i += 1;
+                } else if !values.contains(&key) {
+                    return Err(format!("unknown flag --{key} for `tpi {command}`"));
                 } else {
                     let value = args
                         .get(i + 1)
@@ -223,7 +226,7 @@ fn load(path: &str) -> Result<Circuit, String> {
 }
 
 fn analyze(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, "analyze", &[], &[])?;
     let circuit = load(flags.file()?)?;
     let topo = Topology::of(&circuit).map_err(|e| e.to_string())?;
     let stats = analysis::stats(&circuit, &topo);
@@ -277,25 +280,6 @@ fn block_words_flag(flags: &Flags) -> Result<usize, String> {
     }
 }
 
-/// `--simd-backend`: instruction selection for the simulation kernels
-/// (results are bit-identical across backends; `auto` picks the best
-/// the CPU supports). Resolved eagerly so a bad request fails with a
-/// CLI error instead of a worker panic.
-fn backend_flag(flags: &Flags) -> Result<BackendChoice, String> {
-    let choice = match flags.get("simd-backend") {
-        None => BackendChoice::Auto,
-        Some(s) => BackendChoice::parse(s).map_err(|e| format!("--simd-backend: {e}"))?,
-    };
-    SimdBackend::resolve(choice).map_err(|e| format!("--simd-backend: {e}"))?;
-    Ok(choice)
-}
-
-/// The resolved backend for a validated choice (for the `sim.backend`
-/// gauge and status lines).
-fn resolved_backend(choice: BackendChoice) -> SimdBackend {
-    SimdBackend::resolve(choice).expect("choice validated by backend_flag")
-}
-
 /// `--metrics-out FILE`: dump a registry snapshot as one JSON object
 /// (render back with `tpi stats FILE`).
 fn write_metrics(path: &str, registry: &Registry) -> Result<(), String> {
@@ -304,31 +288,18 @@ fn write_metrics(path: &str, registry: &Registry) -> Result<(), String> {
     Ok(())
 }
 
-/// `--detection`: detection-word algorithm (results are bit-identical;
-/// `cpt` is the fast default).
-fn detection_flag(flags: &Flags) -> Result<DetectionMode, String> {
-    match flags.get("detection") {
-        None | Some("cpt") => Ok(DetectionMode::CriticalPathTracing),
-        Some("explicit") => Ok(DetectionMode::Explicit),
-        Some(other) => Err(format!("--detection must be cpt or explicit (got {other})")),
-    }
-}
-
-fn sim_options_flags(flags: &Flags) -> Result<SimOptions, String> {
-    Ok(SimOptions {
-        block_words: block_words_flag(flags)?,
-        detection: detection_flag(flags)?,
-        backend: backend_flag(flags)?,
-    })
-}
-
 fn simulate(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["lfsr"])?;
+    let flags = Flags::parse(
+        args,
+        "simulate",
+        &["patterns", "seed", "threads", "block-words", "metrics-out"],
+        &["lfsr"],
+    )?;
     let circuit = load(flags.file()?)?;
     let patterns: u64 = flags.num("patterns", 32_000)?;
     let seed: u64 = flags.num("seed", 1)?;
     let threads: usize = flags.num("threads", default_threads())?;
-    let options = sim_options_flags(&flags)?;
+    let options = SimOptions::with_block_words(block_words_flag(&flags)?);
     let universe = FaultUniverse::collapsed(&circuit).map_err(|e| e.to_string())?;
     let n_inputs = circuit.inputs().len();
     let control = RunControl::unlimited();
@@ -359,7 +330,6 @@ fn simulate(args: &[String]) -> Result<(), String> {
     if let Some(path) = flags.get("metrics-out") {
         let registry = Registry::new();
         run.counters.publish_to(&registry);
-        resolved_backend(options.backend).publish_to(&registry);
         write_metrics(path, &registry)?;
     }
     let result = run.result;
@@ -378,7 +348,28 @@ fn simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn insert(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(
+        args,
+        "insert",
+        &[
+            "objective",
+            "log2-threshold",
+            "test-length",
+            "confidence",
+            "method",
+            "threads",
+            "score-threads",
+            "block-words",
+            "deadline-ms",
+            "max-points",
+            "probe-width",
+            "max-backtracks",
+            "out",
+            "verilog",
+            "metrics-out",
+        ],
+        &[],
+    )?;
     // `--objective`: what the inserted points optimise. `coverage` (the
     // default) raises every fault's random-pattern detection probability
     // past a threshold; `patterns` minimises the compacted deterministic
@@ -407,23 +398,11 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
     };
     let method = flags.get("method").unwrap_or("dp");
     let threads: usize = flags.num("threads", default_threads())?;
-    // `--candidate-eval`: batched compile-once scoring (default) vs the
-    // legacy per-candidate full re-evaluation, kept as the A/B oracle.
-    // Both paths select bit-identical plans.
-    let candidate_eval = match flags.get("candidate-eval").unwrap_or("batched") {
-        "batched" => CandidateEval::Batched,
-        "legacy" => CandidateEval::Legacy,
-        other => {
-            return Err(format!(
-                "bad --candidate-eval `{other}` (expected batched|legacy)"
-            ))
-        }
-    };
     let score_threads: usize = flags.num("score-threads", 1)?;
     if score_threads == 0 {
         return Err("--score-threads must be ≥ 1".into());
     }
-    let options = sim_options_flags(flags)?;
+    let options = SimOptions::with_block_words(block_words_flag(flags)?);
     // `--deadline-ms`: run the optimizer under a RunControl deadline; an
     // interrupted run still commits its best-so-far prefix plan
     // (reported with `"partial": true`).
@@ -447,12 +426,9 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
                 format!("{e}\nhint: for reconvergent circuits use --method constructive")
             })?,
         "greedy" => {
-            let (plan, stopped) = GreedyOptimizer::new(GreedyConfig {
-                candidate_eval,
-                ..GreedyConfig::default()
-            })
-            .solve_controlled(&problem, &control)
-            .map_err(|e| e.to_string())?;
+            let (plan, stopped) = GreedyOptimizer::default()
+                .solve_controlled(&problem, &control)
+                .map_err(|e| e.to_string())?;
             interrupted = stopped;
             plan
         }
@@ -464,9 +440,6 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
                 EngineConfig {
                     verify_incremental: false,
                     block_words: options.block_words,
-                    detection: options.detection,
-                    simd_backend: options.backend,
-                    candidate_eval,
                     score_threads,
                     ..EngineConfig::default()
                 },
@@ -486,17 +459,6 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
                 stats.faults_skipped,
                 stats.memo_hits
             );
-            interrupted = outcome.interrupted;
-            outcome.plan
-        }
-        "constructive-baseline" => {
-            let outcome = ConstructiveOptimizer::new(ConstructiveConfig {
-                candidate_eval,
-                score_threads,
-                ..ConstructiveConfig::default()
-            })
-            .solve_controlled(&circuit, threshold, &control)
-            .map_err(|e| e.to_string())?;
             interrupted = outcome.interrupted;
             outcome.plan
         }
@@ -544,7 +506,6 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     verify_run.counters.publish_to(&registry);
-    resolved_backend(options.backend).publish_to(&registry);
     let verified = verify_run.result;
     println!(
         "measured coverage after insertion: {:.2}% ({} patterns, {} threads)",
@@ -705,7 +666,7 @@ fn insert_patterns(flags: &Flags) -> Result<(), String> {
 }
 
 fn atpg(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, "atpg", &["patterns", "metrics-out"], &[])?;
     let circuit = load(flags.file()?)?;
     let patterns: u64 = flags.num("patterns", 32_000)?;
     let universe = FaultUniverse::collapsed(&circuit).map_err(|e| e.to_string())?;
@@ -757,7 +718,12 @@ fn atpg(args: &[String]) -> Result<(), String> {
 /// when some failed (`--no-fail-on-error` restores the old always-zero
 /// behaviour for soak scripts), `1` on tool errors.
 fn batch_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &["resume", "no-fail-on-error"])?;
+    let flags = Flags::parse(
+        args,
+        "batch",
+        &["out", "retries", "shard", "resume-from", "metrics-out"],
+        &["resume", "no-fail-on-error"],
+    )?;
     let path = std::path::Path::new(flags.file()?);
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let manifest = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -937,7 +903,7 @@ fn batch_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// A refused set produces a structured JSON error line on stderr naming
 /// the offending shard/file/indices, plus a human-readable message.
 fn merge_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse_multi(args, &[])?;
+    let flags = Flags::parse_multi(args, "merge", &["out", "metrics", "metrics-out"], &[])?;
     if flags.files.is_empty() {
         return Err("merge needs at least one checkpoint file".into());
     }
@@ -1027,7 +993,21 @@ fn merge_cmd(args: &[String]) -> Result<ExitCode, String> {
 ///   every session a private memo — the A/B baseline the soak harness
 ///   measures against).
 fn serve_cmd(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["stdio", "isolated-memo"])?;
+    let flags = Flags::parse(
+        args,
+        "serve",
+        &[
+            "listen",
+            "max-gates",
+            "max-patterns",
+            "max-sessions",
+            "accept-queue",
+            "max-inflight",
+            "shared-memo-capacity",
+            "metrics-out",
+        ],
+        &["stdio", "isolated-memo"],
+    )?;
     let limits = serve::ServeLimits {
         max_gates: flags.opt_num("max-gates")?,
         max_patterns: flags.opt_num("max-patterns")?,
@@ -1078,7 +1058,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 /// `tpi stats FILE` — render a `--metrics-out` snapshot (or a serve
 /// `metrics` reply) as an aligned table with histogram summaries.
 fn stats_cmd(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, "stats", &[], &[])?;
     let path = flags.file()?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -1091,7 +1071,7 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn export(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, "export", &["verilog", "dot"], &[])?;
     let circuit = load(flags.file()?)?;
     let mut wrote = false;
     if let Some(v) = flags.get("verilog") {

@@ -20,7 +20,6 @@ fn opts(detection: DetectionMode, block_words: usize) -> SimOptions {
     SimOptions {
         block_words,
         detection,
-        ..SimOptions::default()
     }
 }
 
