@@ -1,9 +1,13 @@
+use std::collections::HashSet;
+
 use crate::{Circuit, GateKind, NetlistError, NodeId};
 
 /// Incremental, validated construction of a [`Circuit`].
 ///
 /// The builder enforces arity and name uniqueness at each step and runs a
-/// full validation (including the acyclicity check) in [`finish`].
+/// full validation (including the acyclicity check) in [`finish`]. It
+/// checks names against a set of its own, so building an n-node circuit
+/// takes linear time.
 ///
 /// # Example
 ///
@@ -30,6 +34,8 @@ use crate::{Circuit, GateKind, NetlistError, NodeId};
 #[derive(Debug, Clone)]
 pub struct CircuitBuilder {
     circuit: Circuit,
+    /// Every name in `circuit`.
+    names: HashSet<String>,
 }
 
 impl CircuitBuilder {
@@ -37,7 +43,23 @@ impl CircuitBuilder {
     pub fn new(name: impl Into<String>) -> CircuitBuilder {
         CircuitBuilder {
             circuit: Circuit::new(name),
+            names: HashSet::new(),
         }
+    }
+
+    /// Append a node, checking its name against `names`.
+    fn add(
+        &mut self,
+        kind: GateKind,
+        fanins: Vec<NodeId>,
+        name: String,
+    ) -> Result<NodeId, NetlistError> {
+        let names = &self.names;
+        let id = self
+            .circuit
+            .add_node_named(kind, fanins, name, |_, n| names.contains(n))?;
+        self.names.insert(self.circuit.node_name(id).to_string());
+        Ok(id)
     }
 
     /// Add a primary input. Empty names are auto-generated.
@@ -47,8 +69,7 @@ impl CircuitBuilder {
     /// Panics if `name` is already taken (inputs are normally the first
     /// nodes declared, with caller-controlled fresh names).
     pub fn input(&mut self, name: impl Into<String>) -> NodeId {
-        self.circuit
-            .add_node(GateKind::Input, vec![], name)
+        self.add(GateKind::Input, vec![], name.into())
             .expect("input declaration failed")
     }
 
@@ -72,7 +93,7 @@ impl CircuitBuilder {
         } else {
             GateKind::Const0
         };
-        self.circuit.add_node(kind, vec![], name)
+        self.add(kind, vec![], name.into())
     }
 
     /// Add a logic gate. Empty names are auto-generated.
@@ -87,7 +108,7 @@ impl CircuitBuilder {
         fanins: Vec<NodeId>,
         name: impl Into<String>,
     ) -> Result<NodeId, NetlistError> {
-        self.circuit.add_node(kind, fanins, name)
+        self.add(kind, fanins, name.into())
     }
 
     /// Build a balanced tree of 2-input `kind` gates over `leaves`,

@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::{GateKind, NetlistError};
@@ -71,6 +71,10 @@ pub struct Circuit {
     pub(crate) node_names: Vec<String>,
     pub(crate) inputs: Vec<NodeId>,
     pub(crate) outputs: Vec<NodeId>,
+    /// `output_mask[i]` is whether node `i` appears in `outputs`: one byte
+    /// per node, so [`Circuit::is_output`] is O(1). Derived from
+    /// `outputs`, hence left out of equality like `version`.
+    pub(crate) output_mask: Vec<bool>,
     /// Structural edit counter: bumped by every mutation that can change
     /// behaviour (`add_node`, `add_output`, `set_node`, `rewire`).
     /// Derived-analysis caches key their validity on it.
@@ -80,7 +84,8 @@ pub struct Circuit {
 impl PartialEq for Circuit {
     /// Structural equality; the edit [`version`](Circuit::version) is
     /// deliberately ignored (two circuits with identical structure are
-    /// equal regardless of their edit histories).
+    /// equal regardless of their edit histories), as is the output mask,
+    /// which mirrors `outputs`.
     fn eq(&self, other: &Circuit) -> bool {
         self.name == other.name
             && self.nodes == other.nodes
@@ -104,6 +109,7 @@ impl Circuit {
             node_names: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            output_mask: Vec::new(),
             version: 0,
         }
     }
@@ -163,8 +169,12 @@ impl Circuit {
         &self.node_names[id.index()]
     }
 
-    /// Find a node by signal name (linear scan; build your own map for
-    /// bulk lookups).
+    /// Find a node by signal name.
+    ///
+    /// Cost: O(nodes), a linear scan. `Circuit` keeps no name index (it
+    /// would make every clone of a large circuit several times dearer);
+    /// callers with many lookups build their own map, as the `.bench`
+    /// parser and [`CircuitBuilder`](crate::CircuitBuilder) do.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
         self.node_names
             .iter()
@@ -182,9 +192,9 @@ impl Circuit {
         &self.outputs
     }
 
-    /// Whether `id` is listed as a primary output.
+    /// Whether `id` is listed as a primary output. O(1).
     pub fn is_output(&self, id: NodeId) -> bool {
-        self.outputs.contains(&id)
+        self.output_mask.get(id.index()).copied().unwrap_or(false)
     }
 
     /// Iterate over all node ids in index order.
@@ -197,6 +207,11 @@ impl Circuit {
     /// `Input` nodes are appended to the primary-input list automatically.
     /// If `name` is empty a unique `n<i>` name is generated.
     ///
+    /// The name check scans every existing name, so building an n-node
+    /// circuit through this method costs O(n²); bulk construction goes
+    /// through [`CircuitBuilder`](crate::CircuitBuilder) or the parser,
+    /// which check names against a map of their own.
+    ///
     /// # Errors
     ///
     /// [`NetlistError::InvalidArity`] if the fanin count is illegal for
@@ -208,6 +223,19 @@ impl Circuit {
         fanins: Vec<NodeId>,
         name: impl Into<String>,
     ) -> Result<NodeId, NetlistError> {
+        self.add_node_named(kind, fanins, name.into(), |c, n| c.find_node(n).is_some())
+    }
+
+    /// [`add_node`](Circuit::add_node) with the name check delegated to
+    /// `taken`, for callers that keep a name map of their own: with an
+    /// O(1) `taken`, building an n-node circuit is linear.
+    pub(crate) fn add_node_named(
+        &mut self,
+        kind: GateKind,
+        fanins: Vec<NodeId>,
+        mut name: String,
+        taken: impl Fn(&Circuit, &str) -> bool,
+    ) -> Result<NodeId, NetlistError> {
         kind.check_arity(fanins.len())?;
         let idx = self.nodes.len();
         if fanins.iter().any(|f| f.index() >= idx) {
@@ -215,18 +243,18 @@ impl Circuit {
             // construction, which also rules out cycles for append-only use.
             return Err(NetlistError::DanglingFanin { gate: idx });
         }
-        let mut name = name.into();
         if name.is_empty() {
             name = format!("n{idx}");
-            while self.find_node(&name).is_some() {
+            while taken(self, &name) {
                 name.push('_');
             }
-        } else if self.find_node(&name).is_some() {
+        } else if taken(self, &name) {
             return Err(NetlistError::DuplicateName { name });
         }
         let id = NodeId::from_index(idx);
         self.nodes.push(Node { kind, fanins });
         self.node_names.push(name);
+        self.output_mask.push(false);
         if kind == GateKind::Input {
             self.inputs.push(id);
         }
@@ -243,7 +271,8 @@ impl Circuit {
         if id.index() >= self.nodes.len() {
             return Err(NetlistError::NoSuchNode { index: id.index() });
         }
-        if !self.outputs.contains(&id) {
+        if !self.output_mask[id.index()] {
+            self.output_mask[id.index()] = true;
             self.outputs.push(id);
             self.version += 1;
         }
@@ -288,12 +317,20 @@ impl Circuit {
                 }
             }
         }
+        let mut taps = 0;
         for out in self.outputs.iter_mut() {
             if *out == from {
                 *out = to;
-                n += 1;
+                taps += 1;
             }
         }
+        if taps > 0 {
+            // Clear before set: `from == to` leaves the node an output, and
+            // a tap moved onto a node that is already an output keeps it one.
+            self.output_mask[from.index()] = false;
+            self.output_mask[to.index()] = true;
+        }
+        n += taps;
         if n > 0 {
             self.version += 1;
         }
@@ -317,9 +354,9 @@ impl Circuit {
                 return Err(NetlistError::NoSuchNode { index: out.index() });
             }
         }
-        let mut seen: HashMap<&str, usize> = HashMap::with_capacity(self.node_names.len());
+        let mut seen: HashSet<&str> = HashSet::with_capacity(self.node_names.len());
         for name in &self.node_names {
-            if seen.insert(name.as_str(), 1).is_some() {
+            if !seen.insert(name.as_str()) {
                 return Err(NetlistError::DuplicateName { name: name.clone() });
             }
         }

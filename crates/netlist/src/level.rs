@@ -37,53 +37,72 @@ pub struct Fanout {
 pub struct Topology {
     order: Vec<NodeId>,
     level: Vec<u32>,
-    fanouts: Vec<Vec<Fanout>>,
+    /// Consumers of node `i` are `fanouts[fanout_start[i]..fanout_start[i + 1]]`,
+    /// in (gate, pin) order.
+    fanout_start: Vec<u32>,
+    fanouts: Vec<Fanout>,
     max_level: u32,
 }
 
 impl Topology {
-    /// Compute the topology of a circuit.
+    /// Compute the topology of a circuit, in time linear in its nodes and
+    /// pins.
     ///
     /// # Errors
     ///
     /// [`NetlistError::Cycle`] if the circuit has a combinational cycle.
     pub fn of(circuit: &Circuit) -> Result<Topology, NetlistError> {
         let n = circuit.node_count();
-        let mut fanouts: Vec<Vec<Fanout>> = vec![Vec::new(); n];
-        let mut indeg: Vec<u32> = vec![0; n];
+        let mut fanout_start = vec![0u32; n + 1];
+        for id in circuit.node_ids() {
+            for &src in circuit.fanins(id) {
+                fanout_start[src.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            fanout_start[i + 1] += fanout_start[i];
+        }
+        let mut fill = fanout_start.clone();
+        let mut fanouts = vec![
+            Fanout {
+                gate: NodeId::from_index(0),
+                pin: 0,
+            };
+            fanout_start[n] as usize
+        ];
+        let mut remaining: Vec<u32> = Vec::with_capacity(n);
         for id in circuit.node_ids() {
             let fanins = circuit.fanins(id);
-            indeg[id.index()] = fanins.len() as u32;
+            remaining.push(fanins.len() as u32);
             for (pin, &src) in fanins.iter().enumerate() {
-                fanouts[src.index()].push(Fanout {
+                let at = &mut fill[src.index()];
+                fanouts[*at as usize] = Fanout {
                     gate: id,
                     pin: pin as u32,
-                });
+                };
+                *at += 1;
             }
         }
 
-        let mut order = Vec::with_capacity(n);
         let mut level = vec![0u32; n];
         let mut ready: Vec<NodeId> = circuit
             .node_ids()
-            .filter(|id| indeg[id.index()] == 0)
+            .filter(|id| remaining[id.index()] == 0)
             .collect();
-        let mut remaining = indeg.clone();
+        let mut visited = 0;
         while let Some(id) = ready.pop() {
-            order.push(id);
-            for fo in &fanouts[id.index()] {
+            visited += 1;
+            let (lo, hi) = (fanout_start[id.index()], fanout_start[id.index() + 1]);
+            for fo in &fanouts[lo as usize..hi as usize] {
                 let gi = fo.gate.index();
-                let lvl = level[id.index()] + 1;
-                if lvl > level[gi] {
-                    level[gi] = lvl;
-                }
+                level[gi] = level[gi].max(level[id.index()] + 1);
                 remaining[gi] -= 1;
                 if remaining[gi] == 0 {
                     ready.push(fo.gate);
                 }
             }
         }
-        if order.len() != n {
+        if visited != n {
             let stuck = circuit
                 .node_ids()
                 .find(|id| remaining[id.index()] > 0)
@@ -92,14 +111,26 @@ impl Topology {
                 node: circuit.node_name(stuck).to_string(),
             });
         }
-        // Make the order deterministic and level-monotone: sort by
-        // (level, id). Kahn's stack order already respects dependencies,
-        // but a canonical order helps reproducibility.
-        order.sort_by_key(|id| (level[id.index()], id.index()));
+        // A canonical, level-monotone order: by (level, id), bucketed by
+        // level over ids in increasing order.
         let max_level = level.iter().copied().max().unwrap_or(0);
+        let mut at = vec![0usize; max_level as usize + 2];
+        for &l in &level {
+            at[l as usize + 1] += 1;
+        }
+        for l in 0..=max_level as usize {
+            at[l + 1] += at[l];
+        }
+        let mut order = vec![NodeId::from_index(0); n];
+        for id in circuit.node_ids() {
+            let slot = &mut at[level[id.index()] as usize];
+            order[*slot] = id;
+            *slot += 1;
+        }
         Ok(Topology {
             order,
             level,
+            fanout_start,
             fanouts,
             max_level,
         })
@@ -123,23 +154,28 @@ impl Topology {
 
     /// Consumers of a node's signal, with pin positions.
     pub fn fanouts(&self, id: NodeId) -> &[Fanout] {
-        &self.fanouts[id.index()]
+        let i = id.index();
+        &self.fanouts[self.fanout_start[i] as usize..self.fanout_start[i + 1] as usize]
     }
 
     /// Number of gate pins consuming the signal (primary-output taps not
     /// included; see [`Topology::is_stem`] for the combined view).
     pub fn fanout_count(&self, id: NodeId) -> usize {
-        self.fanouts[id.index()].len()
+        (self.fanout_start[id.index() + 1] - self.fanout_start[id.index()]) as usize
     }
 
     /// Whether a node is a *fanout stem*: its signal is consumed at two or
     /// more places, counting a primary-output tap as one consumer.
+    ///
+    /// Cost: O(1) — a fanout count plus the circuit's per-node output
+    /// mask ([`Circuit::is_output`]).
     pub fn is_stem(&self, circuit: &Circuit, id: NodeId) -> bool {
         let po = usize::from(circuit.is_output(id));
         self.fanout_count(id) + po >= 2
     }
 
-    /// Whether the signal drives nothing at all (dangling node).
+    /// Whether the signal drives nothing at all (dangling node). O(1),
+    /// like [`Topology::is_stem`].
     pub fn is_dangling(&self, circuit: &Circuit, id: NodeId) -> bool {
         self.fanout_count(id) == 0 && !circuit.is_output(id)
     }

@@ -67,7 +67,13 @@ pub fn remove_dead_logic(circuit: &Circuit) -> Result<Rewritten, NetlistError> {
             .iter()
             .map(|f| map[f.index()].expect("kept nodes have kept fanins"))
             .collect();
-        let new_id = out.add_node(node.kind(), fanins, circuit.node_name(id))?;
+        // Names come from `circuit`, where they are already unique.
+        let new_id = out.add_node_named(
+            node.kind(),
+            fanins,
+            circuit.node_name(id).to_string(),
+            |_, _| false,
+        )?;
         map[id.index()] = Some(new_id);
     }
     for &o in circuit.outputs() {

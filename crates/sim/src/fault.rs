@@ -95,7 +95,7 @@ impl FaultUniverse {
     ///
     /// [`NetlistError::Cycle`] if the circuit is cyclic.
     pub fn full(circuit: &Circuit) -> Result<FaultUniverse, NetlistError> {
-        let faults = enumerate_full(circuit)?;
+        let faults = enumerate_full(circuit, &Topology::of(circuit)?);
         let n = faults.len();
         Ok(FaultUniverse {
             faults,
@@ -111,14 +111,12 @@ impl FaultUniverse {
     ///
     /// [`NetlistError::Cycle`] if the circuit is cyclic.
     pub fn collapsed(circuit: &Circuit) -> Result<FaultUniverse, NetlistError> {
-        let full = enumerate_full(circuit)?;
-        let classes = crate::collapse::equivalence_classes(circuit, &full)?;
-        let mut faults = Vec::with_capacity(classes.len());
-        let mut class_sizes = Vec::with_capacity(classes.len());
-        for class in &classes {
-            faults.push(full[class[0]]);
-            class_sizes.push(class.len());
-        }
+        let topo = Topology::of(circuit)?;
+        let full = enumerate_full(circuit, &topo);
+        let (faults, class_sizes) = crate::collapse::Classes::of(circuit, &topo, &full)
+            .representatives()
+            .map(|(i, size)| (full[i], size))
+            .unzip();
         Ok(FaultUniverse {
             faults,
             class_sizes,
@@ -163,8 +161,7 @@ impl FaultUniverse {
     }
 }
 
-fn enumerate_full(circuit: &Circuit) -> Result<Vec<Fault>, NetlistError> {
-    let topo = Topology::of(circuit)?;
+fn enumerate_full(circuit: &Circuit, topo: &Topology) -> Vec<Fault> {
     let mut faults = Vec::new();
     for id in circuit.node_ids() {
         for stuck in [false, true] {
@@ -189,7 +186,7 @@ fn enumerate_full(circuit: &Circuit) -> Result<Vec<Fault>, NetlistError> {
             }
         }
     }
-    Ok(faults)
+    faults
 }
 
 #[cfg(test)]
